@@ -35,7 +35,7 @@ async def main() -> None:
     )
     network = generate_network(cfg, rng=SEED)
     config = ServiceConfig(
-        solver="MBBE", batch_size=8, workers=0, snapshot_path=SNAPSHOT, seed=SEED
+        solver="MBBE", batch_size=8, snapshot_path=SNAPSHOT, seed=SEED
     )
 
     async with EmbeddingServer(network, config) as server:

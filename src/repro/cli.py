@@ -138,7 +138,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--queue-limit", type=int, default=64)
     serve.add_argument("--batch-size", type=int, default=8)
     serve.add_argument("--tick", type=float, default=0.0, help="batch collection window (s)")
-    serve.add_argument("--workers", type=int, default=0, help="solver processes; 0 = inline")
+    serve.add_argument(
+        "--workers",
+        type=_no_workers,
+        default=0,
+        help="accepted for old command lines; only 0 (solves run in a thread)",
+    )
     serve.add_argument("--admission", type=str, default="fifo")
     serve.add_argument(
         "--max-rate", type=float, default=2.0, help="threshold for --admission rate-threshold"
@@ -146,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--speculative",
         action="store_true",
-        help="solve batches in parallel against the batch-start view",
+        help="solve each batch against the batch-start view",
     )
     serve.add_argument(
         "--snapshot", type=str, default=None, help="persist state here on drain/snapshot"
@@ -580,6 +585,16 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
+def _no_workers(text: str) -> int:
+    """``serve --workers``: only 0 is left; solves always run in a thread."""
+    if text.strip() != "0":
+        raise argparse.ArgumentTypeError(
+            f"{text!r}: the solver process pool was removed; solves run in a "
+            "thread of the server, so only 0 is accepted"
+        )
+    return 0
+
+
 def _parse_chaos_spec(spec: str, network: "object", seed: int) -> "object":
     """``--chaos`` argument → :class:`~repro.faults.model.FaultScript`.
 
@@ -666,7 +681,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_limit=args.queue_limit,
         batch_size=args.batch_size,
         tick=args.tick,
-        workers=args.workers,
         speculative=args.speculative,
         admission=args.admission,
         seed=args.seed,
@@ -758,8 +772,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"serving {shard_note} on {host}:{port} "
             f"(solver {config.solver}, policy {policy.name}, "
-            f"{'speculative' if config.speculative else 'strict'} dispatch, "
-            f"workers {config.workers}{wal_note})",
+            f"{'speculative' if config.speculative else 'strict'} dispatch"
+            f"{wal_note})",
             flush=True,
         )
         try:

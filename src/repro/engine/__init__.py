@@ -15,9 +15,10 @@ Both are thin drivers over it now:
   defrag loop planning pinned re-embeds and applying them through the
   engine's atomic :meth:`~repro.engine.core.EmbeddingEngine.migrate`;
 * :mod:`repro.engine.state_store` — fingerprint-guarded snapshot/restore
-  (single and sharded document kinds);
-* :mod:`repro.engine.worker` — the pool-side solve with per-process solver
-  reuse, for transports that run solves off their event loop.
+  (single and sharded document kinds).
+
+A transport runs solves off its event loop through
+:meth:`EmbeddingEngine.solve`, in a thread, with the engine's own solver.
 
 Layering rule (enforced by reprolint's RPL601): the service transport
 imports solvers, the reservation ledger, and the repair machinery **only**
@@ -54,7 +55,6 @@ from .state_store import (
     save_sharded_snapshot,
     save_snapshot,
 )
-from .worker import solve_on_view
 
 __all__ = [
     "ENGINE_COUNTER_KEYS",
@@ -83,7 +83,6 @@ __all__ = [
     "save_snapshot",
     "load_sharded_snapshot",
     "save_sharded_snapshot",
-    "solve_on_view",
     "StandbyEngine",
     "WalRecord",
     "WalWriter",

@@ -12,7 +12,7 @@ lifecycle as plain synchronous methods:
   active faults; the projection is never built fault-free, keeping the
   no-chaos pipeline bit-identical to a state machine without faults);
 * :meth:`solve` / :meth:`commit` — the two halves of one decision, split
-  so a transport can run solves elsewhere (worker pool, thread) and feed
+  so a transport can run solves elsewhere (a worker thread) and feed
   the results back into the sole state mutator;
 * :meth:`submit` / :meth:`submit_batch` — synchronous compositions of the
   two for in-process drivers (the offline simulator, tests), including the
@@ -166,7 +166,7 @@ class EmbeddingEngine:
     ) -> None:
         self.network = network
         self.solver: Embedder = solver if isinstance(solver, Embedder) else make_solver(solver)
-        #: registry name for transports that ship solves to worker processes.
+        #: registry name of the solver (recorded in WAL headers).
         self.solver_name = self.solver.name
         #: master seed for engine-derived solver streams.
         self.seed = seed
@@ -183,8 +183,9 @@ class EmbeddingEngine:
                     self.counters[key] = (
                         float(value) if key in FLOAT_COUNTER_KEYS else int(value)
                     )
-        # The repair ladder re-embeds in-process (a transport's dispatcher is
-        # the sole writer, so repairs cannot overlap a pooled solve commit).
+        # The repair ladder re-embeds with the engine's own solver (a
+        # transport's dispatcher is the sole writer, so repairs cannot
+        # overlap a solve's commit).
         self._repair = RepairEngine(self.ledger, self.solver)
         # decision_index and dispatched advance in lockstep, so a restored
         # engine continues the decision sequence instead of restarting it.
@@ -314,9 +315,9 @@ class EmbeddingEngine:
             return decision
         assert result.cost is not None
         if request.constraints and result.embedding is not None:
-            # Commit-time re-validation: a speculative solve (or a buggy
-            # out-of-process worker) may hand back an embedding that no
-            # longer satisfies the request's registered rules.
+            # Commit-time re-validation: a speculative solve (made on the
+            # batch-start view) may hand back an embedding that no longer
+            # satisfies the request's registered rules.
             violation = request.constraints.check(
                 self.view(), result.embedding, request.flow
             )

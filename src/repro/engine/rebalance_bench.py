@@ -187,7 +187,7 @@ def _serve_command(*, solver: str, seed: int, wal_dir: str, snapshot: str) -> li
         "--vnf-capacity", str(_NET.vnf_capacity),
         "--link-capacity", str(_NET.link_capacity),
         "--seed", str(seed), "--solver", solver,
-        "--batch-size", "4", "--workers", "0",
+        "--batch-size", "4",
         "--wal", wal_dir, "--snapshot", snapshot, "--resume",
         "--rebalance",
         "--rebalance-interval", str(_REBALANCE_INTERVAL_S),

@@ -12,7 +12,7 @@ rolls back the partial claim instead of leaking it).
 
 The ledger deliberately stores *amounts*, not embeddings: a reservation is
 the minimal record needed to undo an admission, which is also exactly what
-a server snapshot has to persist (:mod:`repro.service.state_store`).
+a server snapshot has to persist (:mod:`repro.engine.state_store`).
 """
 
 from __future__ import annotations
@@ -146,6 +146,7 @@ class ReservationLedger:
         except CapacityError:
             self.state.rollback(mark)
             raise
+        self.state.commit(mark)
         self._active[request_id] = reservation
 
     def release(self, request_id: int) -> Reservation:

@@ -34,8 +34,11 @@ class ResidualState:
         self.network = network
         self._link_used: dict[EdgeKey, float] = {}
         self._vnf_used: dict[tuple[NodeId, VnfTypeId], float] = {}
-        # Transaction journal: (kind, key, amount) entries since last mark.
+        # Transaction journal: (kind, key, amount) entries, kept only while
+        # a transaction is open (between mark() and its commit/rollback), so
+        # a long-lived state does not grow with every reserve and release.
         self._journal: list[tuple[str, object, float]] = []
+        self._marks: list[int] = []
 
     # -- queries -----------------------------------------------------------------
 
@@ -81,7 +84,7 @@ class ResidualState:
                 f"{link.capacity} (used {used})"
             )
         self._link_used[key] = used + rate
-        self._journal.append(("link", key, rate))
+        self._journal_entry("link", key, rate)
 
     def reserve_vnf(self, node: NodeId, vnf_type: VnfTypeId, rate: float) -> None:
         """Reserve ``rate`` processing on instance ``f_v(i)`` (raises on overflow)."""
@@ -94,7 +97,7 @@ class ResidualState:
                 f"{inst.capacity} (used {used})"
             )
         self._vnf_used[key] = used + rate
-        self._journal.append(("vnf", key, rate))
+        self._journal_entry("vnf", key, rate)
 
     def release_link(self, u: NodeId, v: NodeId, rate: float) -> None:
         """Return ``rate`` bandwidth on link ``{u, v}`` (departures)."""
@@ -109,7 +112,7 @@ class ResidualState:
             self._link_used.pop(key, None)
         else:
             self._link_used[key] = remaining
-        self._journal.append(("link", key, -rate))
+        self._journal_entry("link", key, -rate)
 
     def release_vnf(self, node: NodeId, vnf_type: VnfTypeId, rate: float) -> None:
         """Return ``rate`` processing on instance ``f_v(i)`` (departures)."""
@@ -124,7 +127,7 @@ class ResidualState:
             self._vnf_used.pop(key, None)
         else:
             self._vnf_used[key] = remaining
-        self._journal.append(("vnf", key, -rate))
+        self._journal_entry("vnf", key, -rate)
 
     # -- derived views -----------------------------------------------------------------
 
@@ -152,12 +155,31 @@ class ResidualState:
 
     # -- transactions -----------------------------------------------------------------
 
+    def _journal_entry(self, kind: str, key: object, amount: float) -> None:
+        if self._marks:
+            self._journal.append((kind, key, amount))
+
     def mark(self) -> int:
-        """Return a journal mark to roll back to."""
-        return len(self._journal)
+        """Open a transaction; returns the mark to roll back (or commit) to."""
+        mark = len(self._journal)
+        self._marks.append(mark)
+        return mark
+
+    def commit(self, mark: int) -> None:
+        """Close the transaction opened at ``mark``, keeping its reservations.
+
+        Closes the transactions nested inside it too; once none is open the
+        journal is dropped.
+        """
+        while self._marks and self._marks[-1] > mark:
+            self._marks.pop()
+        if self._marks and self._marks[-1] == mark:
+            self._marks.pop()
+        if not self._marks:
+            self._journal.clear()
 
     def rollback(self, mark: int) -> None:
-        """Undo every reservation made after ``mark``."""
+        """Undo every reservation made after ``mark`` and close its transaction."""
         if mark < 0 or mark > len(self._journal):
             raise ValueError(f"invalid journal mark {mark}")
         while len(self._journal) > mark:
@@ -170,6 +192,7 @@ class ResidualState:
                 self._vnf_used[key] -= rate  # type: ignore[index]
                 if self._vnf_used[key] <= 1e-12:  # type: ignore[index]
                     del self._vnf_used[key]  # type: ignore[arg-type]
+        self.commit(mark)
 
     def clear(self) -> None:
         """Drop every reservation."""

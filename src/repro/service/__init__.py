@@ -3,7 +3,7 @@
 Everything the one-shot entry points (``dag-sfc solve``, the offline
 :class:`~repro.sim.online.OnlineSimulator`) cannot do: a long-running
 asyncio TCP server that admits a *stream* of tenant requests under explicit
-backpressure, micro-batches solves onto a worker pool, and survives
+backpressure, micro-batches solves off the event loop, and survives
 restarts via state snapshots. Every embedding decision — solve, commit,
 repair, snapshot — lives in the transport-agnostic :mod:`repro.engine`; one
 server can shard across several substrate networks, one engine each.
@@ -11,9 +11,6 @@ server can shard across several substrate networks, one engine each.
 * :mod:`repro.service.protocol` — the versioned JSON-lines wire protocol;
 * :mod:`repro.service.admission` — pluggable admission policies + registry;
 * :mod:`repro.service.server` — the transport (queueing, dispatch, shards);
-* :mod:`repro.service.worker` — re-export of :mod:`repro.engine.worker`;
-* :mod:`repro.service.state_store` — re-export of
-  :mod:`repro.engine.state_store`;
 * :mod:`repro.service.client` — multiplexing async client;
 * :mod:`repro.service.retry` — bounded-retry client wrapper (chaos-safe);
 * :mod:`repro.service.loadgen` — open/closed-loop load generation.

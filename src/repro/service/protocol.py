@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from typing import Any, Mapping, Sequence
 
 from ..config import FlowConfig
@@ -77,6 +78,7 @@ __all__ = [
     "submit_message",
     "submit_from_message",
     "network_id_of",
+    "msg_id_of",
     "release_message",
     "stats_message",
     "snapshot_message",
@@ -104,6 +106,7 @@ REJECT_CODES = (
     "degraded",  # admission tightened while substrate faults are active
     "unknown_network",  # the named shard is not served here
     "constraint_violation",  # a registered constraint rejected the embedding
+    "invalid_request",  # well-formed, but names an endpoint the shard lacks
 )
 
 #: Terminal repair states a ``notify`` push may carry
@@ -256,12 +259,15 @@ def submit_from_message(message: Mapping[str, Any]) -> SubmitIntent:
         rate = float(message.get("rate", 1.0))
         msg_id = int(message.get("msg_id", 0))
         dag = dag_from_dict(message["dag"])
-    except (KeyError, TypeError, ValueError) as exc:
-        # serialize/dag validation errors are ValueError subclasses too.
+        seed = message.get("seed")
+        if seed is not None:
+            seed = int(seed)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # serialize/dag validation errors are ValueError subclasses too;
+        # int() of an infinite float raises OverflowError.
         raise ProtocolError(f"malformed submit: {exc}") from None
-    if rate <= 0:
-        raise ProtocolError(f"submit rate must be > 0, got {rate}")
-    seed = message.get("seed")
+    if not (math.isfinite(rate) and rate > 0):
+        raise ProtocolError(f"submit rate must be finite and > 0, got {rate}")
     specs = message.get("constraints")
     if specs is None:
         constraints = ConstraintSet.EMPTY
@@ -280,7 +286,7 @@ def submit_from_message(message: Mapping[str, Any]) -> SubmitIntent:
         source=source,
         dest=dest,
         flow=FlowConfig(rate=rate),
-        seed=None if seed is None else int(seed),
+        seed=seed,
         msg_id=msg_id,
         constraints=constraints,
     )
@@ -296,6 +302,16 @@ def network_id_of(message: Mapping[str, Any]) -> str | None:
             f"network_id must be a non-empty string, got {network_id!r}"
         )
     return network_id
+
+
+def msg_id_of(message: Mapping[str, Any]) -> int:
+    """A message's ``msg_id`` (0 when absent); raises when it is no integer."""
+    try:
+        return int(message.get("msg_id", 0) or 0)
+    except (TypeError, ValueError, OverflowError):
+        raise ProtocolError(
+            f"msg_id must be an integer, got {message.get('msg_id')!r}"
+        ) from None
 
 
 def release_message(

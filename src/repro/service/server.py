@@ -11,7 +11,7 @@ offline replay ≡ strict service decisions holds by construction.
 
 Architecture (single-writer per shard, explicit backpressure)::
 
-    connections ──screen──▶ shard queue ──▶ shard dispatcher ──▶ worker pool
+    connections ──screen──▶ shard queue ──▶ shard dispatcher ──▶ solve thread
         ▲                                       │ engine.commit (sole writer)
         └──────────── replies (by msg_id) ◀─────┘
 
@@ -19,14 +19,17 @@ Architecture (single-writer per shard, explicit backpressure)::
   admission-policy / queue bound) and enqueues; structured rejections are
   produced instead of blocking or crashing when the bounded queue is full.
 * One dispatcher task per shard is the sole mutator of that shard's engine.
-  Per tick it pulls a **micro-batch** (up to ``batch_size`` submits, after
-  an optional ``tick``-long collection window), lets the admission policy
-  order it, and feeds each member through ``engine.commit``. Releases
+  Everything it does arrives as one queued command type; per cycle it pulls
+  a **micro-batch** (up to ``batch_size`` submits, after an optional
+  ``tick``-long collection window) plus whatever else is queued, and runs
+  each kind in a fixed phase order (:data:`_PHASES`). The admission policy
+  orders the batch and each member goes through ``engine.commit``. Releases
   bypass the submit bound and are applied before the batch — the
   departures-before-arrivals convention of :func:`repro.sim.trace.replay`.
-* Solves run off the event loop: in a ``ProcessPoolExecutor`` reusing one
-  solver instance per worker process (``workers >= 1``, see
-  :mod:`repro.engine.worker`) or inline in a thread (``workers = 0``).
+* Solves run off the event loop, one at a time in a worker thread, with the
+  engine's own solver (:func:`solve_on_view`). A solve is pure Python and
+  holds the GIL, so more threads would not overlap them, and a process
+  pool would pay more to pickle each residual view than it saves.
 
 Two dispatch modes (the engine's strict/speculative split):
 
@@ -35,11 +38,12 @@ Two dispatch modes (the engine's strict/speculative split):
   decisions and costs are then bit-identical to replaying the same decision
   order through an offline :class:`~repro.sim.online.OnlineSimulator` — the
   property the end-to-end tests assert.
-* **speculative** (``speculative=True``): batch members are solved in
-  parallel against the batch-start view, then committed in policy order
-  with re-validation; a member whose resources were taken by an earlier
-  commit is rejected with the structured code ``capacity_conflict``.
-  Higher throughput, slightly stale views — the classic serving trade-off.
+* **speculative** (``speculative=True``): batch members are all solved
+  against the batch-start view (built once per batch, not once per
+  member), then committed in policy order with re-validation; a member
+  whose resources were taken by an earlier commit is rejected with the
+  structured code ``capacity_conflict``. Higher throughput, slightly stale
+  views — the classic serving trade-off.
 
 Sharding: the server may serve several independent substrates at once
 (protocol v2); ``submit``/``release`` carry an optional ``network_id``,
@@ -74,9 +78,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import functools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -95,7 +97,6 @@ from ..engine import (
     StandbyEngine,
     advertised_vnf_types,
     shard_wal_path,
-    solve_on_view,
 )
 from ..exceptions import ConfigurationError, WalError
 from ..faults.model import FaultEvent, FaultScript
@@ -105,7 +106,19 @@ from . import protocol
 from .admission import AdmissionPolicy, make_policy
 from .protocol import MAX_LINE_BYTES, SubmitIntent
 
-__all__ = ["ServiceConfig", "EmbeddingServer"]
+__all__ = ["ServiceConfig", "EmbeddingServer", "solve_on_view"]
+
+
+def solve_on_view(
+    engine: EmbeddingEngine, intent: SubmitIntent, view: CloudNetwork
+) -> EmbeddingResult:
+    """One admission solve: the engine's solver on ``view``, no state change.
+
+    The dispatcher calls this once per submit, in a worker thread. The seed
+    is the request's own or the engine-derived one, so a served decision
+    replays offline bit for bit.
+    """
+    return engine.solve(intent, view=view, rng=engine.solve_seed(intent))
 
 
 @dataclass(frozen=True)
@@ -123,9 +136,7 @@ class ServiceConfig:
     #: seconds a dispatcher lingers collecting a batch after the first
     #: submit arrives; 0 = dispatch whatever is queued right now.
     tick: float = 0.0
-    #: worker processes for solves; 0 = solve inline in a thread.
-    workers: int = 0
-    #: parallel in-batch solving against the batch-start view (see module doc).
+    #: solve the whole batch against the batch-start view (see module doc).
     speculative: bool = False
     admission: str = "fifo"
     #: master seed for server-derived solver streams.
@@ -172,8 +183,6 @@ class ServiceConfig:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.tick < 0:
             raise ConfigurationError(f"tick must be >= 0, got {self.tick}")
-        if self.workers < 0:
-            raise ConfigurationError(f"workers must be >= 0, got {self.workers}")
         if self.chaos_tick <= 0:
             raise ConfigurationError(f"chaos_tick must be > 0, got {self.chaos_tick}")
         if not (0.0 < self.degraded_queue_factor <= 1.0):
@@ -206,70 +215,55 @@ class ServiceConfig:
         )
 
 
-@dataclass
-class _PendingSubmit:
-    intent: SubmitIntent
-    reply: "asyncio.Future[dict[str, Any]]" = field(compare=False)
-    #: the submitting connection, kept so repair notifications can reach it.
-    writer: "asyncio.StreamWriter | None" = field(default=None, compare=False)
-    lock: "asyncio.Lock | None" = field(default=None, compare=False)
+#: Command kinds, one per kind of dispatcher work (see :data:`_PHASES`).
+SUBMIT = "submit"
+RELEASE = "release"
+FAULT = "fault"
+REBALANCE = "rebalance"
+PROMOTE = "promote"
+DRAIN = "drain"
+HOLD = "hold"
 
 
-@dataclass
-class _PendingRelease:
-    msg_id: int
-    request_id: int
-    reply: "asyncio.Future[dict[str, Any]]" = field(compare=False)
+@dataclass(eq=False)
+class _Command:
+    """One unit of work queued for a shard's dispatcher.
 
+    ``reply`` is the waiter's future, or None when nobody waits (fault
+    events, timer-driven rebalance cycles); ``on_stop`` is what it resolves
+    to if the server stops before the command runs. Payload by kind:
 
-@dataclass
-class _PendingDrain:
-    """A per-shard drain barrier: resolves once this shard's queue is flushed."""
-
-    reply: "asyncio.Future[None]" = field(compare=False)
-
-
-@dataclass
-class _PendingFault:
-    """A fault event queued for one shard's dispatcher (no reply — nobody waits)."""
-
-    event: FaultEvent
-
-
-@dataclass
-class _PendingHold:
-    """Parks one shard's dispatcher between batches.
-
-    ``reached`` resolves once the dispatcher is idle at the hold; it then
-    stays parked until ``release`` is set. Snapshots quiesce every shard
-    this way so the engines cannot change under the snapshot thread while
-    the event loop stays responsive.
+    * ``submit`` — ``(intent, (writer, lock))``; the submitting connection
+      is kept so repair notifications can reach it;
+    * ``release`` — ``(msg_id, request_id)``;
+    * ``fault`` — the :class:`FaultEvent`;
+    * ``rebalance`` / ``promote`` — the ``msg_id`` (0 for timer cycles);
+    * ``hold`` — the :class:`asyncio.Event` that lets the parked dispatcher
+      go on (``reply`` resolves once it is parked); snapshots quiesce every
+      shard this way so engines cannot change under the snapshot thread;
+    * ``drain`` — None; ``reply`` resolves once the shard's queue is flushed.
     """
 
-    reached: "asyncio.Future[None]" = field(compare=False)
-    release: "asyncio.Event" = field(compare=False)
+    kind: str
+    payload: Any = None
+    reply: "asyncio.Future[Any] | None" = None
+    on_stop: Any = None
+
+    def resolve(self, value: Any) -> None:
+        """Answer the waiter, if there is one and nobody answered it yet."""
+        if self.reply is not None and not self.reply.done():
+            self.reply.set_result(value)
 
 
 @dataclass
-class _PendingPromote:
-    """A standby-promotion request for one shard (operator fail-over drill)."""
+class _Cycle:
+    """The commands one dispatcher cycle collected, and the replies it holds."""
 
-    msg_id: int
-    reply: "asyncio.Future[dict[str, Any]]" = field(compare=False)
-
-
-@dataclass
-class _PendingRebalance:
-    """One rebalance cycle queued for a shard's dispatcher.
-
-    Timer-driven cycles carry no reply (nobody waits); the ``rebalance``
-    protocol verb attaches a future and gets the cycle report back.
-    """
-
-    msg_id: int = 0
-    reply: "asyncio.Future[dict[str, Any]] | None" = field(
-        default=None, compare=False
-    )
+    commands: dict[str, list[_Command]]
+    #: replies whose engine effect is in this cycle's WAL batch; they resolve
+    #: only after the cycle's fsync, so an acknowledged commit or release is
+    #: durable by construction (ack-after-fsync).
+    deferred: list[tuple[_Command, dict[str, Any]]] = field(default_factory=list)
 
 
 #: Counters the transport maintains per shard; the engine owns the rest
@@ -301,15 +295,7 @@ class _Shard:
         self.engine = engine
         self._rebalance_config = rebalance
         self.n_vnf_types = advertised_vnf_types(engine.network)
-        self.queue: asyncio.Queue[
-            _PendingSubmit
-            | _PendingRelease
-            | _PendingDrain
-            | _PendingFault
-            | _PendingHold
-            | _PendingPromote
-            | _PendingRebalance
-        ] = asyncio.Queue()
+        self.queue: asyncio.Queue[_Command] = asyncio.Queue()
         self.queued_submits = 0
         self.pending_ids: set[int] = set()
         self.arrival_counter = 0
@@ -413,7 +399,6 @@ class EmbeddingServer:
         self._conn_tasks: set[asyncio.Task[None]] = set()
         self._server: asyncio.Server | None = None
         self._address: tuple[str, int] | None = None
-        self._executor: ProcessPoolExecutor | None = None
         self._chaos_task: asyncio.Task[None] | None = None
         self._chaos_done = asyncio.Event()
         if self.config.fault_script is None:
@@ -448,8 +433,6 @@ class EmbeddingServer:
         """Bind the socket and start the dispatchers; returns (host, port)."""
         if self._server is not None:
             raise ConfigurationError("server is already started")
-        if self.config.workers > 0:
-            self._executor = ProcessPoolExecutor(max_workers=self.config.workers)
         if self.config.wal_dir is not None:
             # Blocking file IO (open/fsync per shard log) stays off the loop.
             await asyncio.to_thread(self._setup_wal)
@@ -530,62 +513,24 @@ class EmbeddingServer:
             # Sync + close every shard log off the loop; anything never
             # acknowledged may land in a torn tail, which recovery truncates.
             await asyncio.to_thread(self._close_wals)
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
         self._stop_event.set()
 
     def _flush_queue(self, shard: _Shard) -> None:
-        """Fail anything still queued so connection handlers can't wait forever."""
-        while True:
-            try:
-                item = shard.queue.get_nowait()
-            except asyncio.QueueEmpty:
-                break
-            if isinstance(item, _PendingSubmit):
+        """Answer everything still queued so connection handlers can't wait forever."""
+        while not shard.queue.empty():
+            command = shard.queue.get_nowait()
+            if command.kind == SUBMIT:
                 shard.queued_submits -= 1
-                shard.pending_ids.discard(item.intent.request_id)
-                item.reply.set_result(
-                    self._reject(
-                        item.intent.msg_id,
-                        item.intent.request_id,
-                        "draining",
-                        "server stopped before the request was decided",
-                    )
-                )
-            elif isinstance(item, _PendingRelease):
-                item.reply.set_result(
-                    {
-                        "type": "released",
-                        "msg_id": item.msg_id,
-                        "request_id": item.request_id,
-                        "ok": False,
-                        "reason": "server stopped before the release was applied",
-                    }
-                )
-            elif isinstance(item, _PendingDrain):
-                item.reply.set_result(None)
-            elif isinstance(item, _PendingHold):
-                if not item.reached.done():
-                    item.reached.set_result(None)
-            elif isinstance(item, _PendingPromote):
-                item.reply.set_result(
-                    {
-                        "type": "error",
-                        "msg_id": item.msg_id,
-                        "reason": "server stopped before the promotion ran",
-                    }
-                )
-            elif isinstance(item, _PendingRebalance):
-                if item.reply is not None:
-                    item.reply.set_result(
-                        {
-                            "type": "error",
-                            "msg_id": item.msg_id,
-                            "reason": "server stopped before the rebalance cycle ran",
-                        }
-                    )
-            # _PendingFault items have no waiter: dropped with the server.
+                shard.pending_ids.discard(command.payload[0].request_id)
+            command.resolve(command.on_stop)
+
+    def _enqueue(
+        self, shard: _Shard, kind: str, payload: Any, on_stop: Any = None
+    ) -> "asyncio.Future[Any]":
+        """Queue one command somebody waits on; returns its reply future."""
+        reply: asyncio.Future[Any] = asyncio.get_running_loop().create_future()
+        shard.queue.put_nowait(_Command(kind, payload, reply, on_stop))
+        return reply
 
     # -- durability (write-ahead logs + warm standbys) ---------------------------------
 
@@ -684,7 +629,7 @@ class EmbeddingServer:
 
     def inject_fault(self, event: FaultEvent, network_id: str | None = None) -> None:
         """Queue one ad-hoc fault event on a shard (tests and operator tooling)."""
-        self._shard(network_id).queue.put_nowait(_PendingFault(event=event))
+        self._shard(network_id).queue.put_nowait(_Command(FAULT, event))
 
     def repair_times(self) -> tuple[float, ...]:
         """Wall seconds of every completed repair, across shards in shard order."""
@@ -840,9 +785,10 @@ class EmbeddingServer:
     async def _handle_message(
         self, message: dict[str, Any], writer: asyncio.StreamWriter, lock: asyncio.Lock
     ) -> None:
-        msg_id = int(message.get("msg_id", 0) or 0)
         mtype = message["type"]
+        msg_id = 0
         try:
+            msg_id = protocol.msg_id_of(message)
             if mtype == "submit":
                 reply = await self._handle_submit(message, writer, lock)
             elif mtype == "release":
@@ -897,6 +843,17 @@ class EmbeddingServer:
             return self._reject(
                 intent.msg_id, intent.request_id, "unknown_network", str(exc)
             )
+        graph = shard.engine.network.graph
+        for endpoint in (intent.source, intent.dest):
+            if not graph.has_node(endpoint):
+                # Not counted either: a malformed request never reaches a solver.
+                return self._reject(
+                    intent.msg_id,
+                    intent.request_id,
+                    "invalid_request",
+                    f"endpoint {endpoint} is not a node of shard "
+                    f"{shard.network_id!r} ({graph.num_nodes} nodes)",
+                )
         shard.counters["submitted"] += 1
         if self._draining:
             shard.counters["shed_draining"] += 1
@@ -944,38 +901,43 @@ class EmbeddingServer:
         shard.arrival_counter += 1
         shard.queued_submits += 1
         shard.pending_ids.add(intent.request_id)
-        pending = _PendingSubmit(
-            intent=intent,
-            reply=asyncio.get_running_loop().create_future(),
-            writer=writer,
-            lock=lock,
+        stopped = self._reject(
+            intent.msg_id,
+            intent.request_id,
+            "draining",
+            "server stopped before the request was decided",
         )
-        shard.queue.put_nowait(pending)
-        return await pending.reply
+        return await self._enqueue(shard, SUBMIT, (intent, (writer, lock)), stopped)
 
     async def _handle_release(self, message: dict[str, Any]) -> dict[str, Any]:
         try:
             msg_id = int(message.get("msg_id", 0))
             request_id = int(message["request_id"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise protocol.ProtocolError(f"malformed release: {exc}") from None
         try:
             shard = self._shard(protocol.network_id_of(message))
         except ConfigurationError as exc:
-            return {
-                "type": "released",
-                "msg_id": msg_id,
-                "request_id": request_id,
-                "ok": False,
-                "reason": str(exc),
-            }
-        pending = _PendingRelease(
-            msg_id=msg_id,
-            request_id=request_id,
-            reply=asyncio.get_running_loop().create_future(),
+            return self._release_reply(msg_id, request_id, str(exc))
+        stopped = self._release_reply(
+            msg_id, request_id, "server stopped before the release was applied"
         )
-        shard.queue.put_nowait(pending)
-        return await pending.reply
+        return await self._enqueue(shard, RELEASE, (msg_id, request_id), stopped)
+
+    @staticmethod
+    def _release_reply(
+        msg_id: int, request_id: int, failure: str | None = None
+    ) -> dict[str, Any]:
+        """A ``released`` reply: ok, or not ok with the ``failure`` reason."""
+        reply: dict[str, Any] = {
+            "type": "released",
+            "msg_id": msg_id,
+            "request_id": request_id,
+            "ok": failure is None,
+        }
+        if failure is not None:
+            reply["reason"] = failure
+        return reply
 
     async def _handle_snapshot(self, msg_id: int) -> dict[str, Any]:
         if not self.config.snapshot_path:
@@ -1009,14 +971,10 @@ class EmbeddingServer:
         synchronous (loop-stalling) write provided for free — yet other
         connections keep submitting; their work just queues behind the hold.
         """
-        loop = asyncio.get_running_loop()
         release = asyncio.Event()
-        reached: list[asyncio.Future[None]] = []
-        for shard in self._shards.values():
-            barrier: asyncio.Future[None] = loop.create_future()
-            shard.queue.put_nowait(_PendingHold(reached=barrier, release=release))
-            reached.append(barrier)
-        await asyncio.gather(*reached)
+        await asyncio.gather(
+            *(self._enqueue(shard, HOLD, release) for shard in self._shards.values())
+        )
         try:
             await asyncio.to_thread(self._save_snapshot, path)
         finally:
@@ -1028,13 +986,9 @@ class EmbeddingServer:
         self._draining = True
         # One barrier per shard: the reply reflects every item that was
         # queued anywhere before the drain arrived.
-        loop = asyncio.get_running_loop()
-        barriers: list[asyncio.Future[None]] = []
-        for shard in self._shards.values():
-            barrier: asyncio.Future[None] = loop.create_future()
-            shard.queue.put_nowait(_PendingDrain(reply=barrier))
-            barriers.append(barrier)
-        await asyncio.gather(*barriers)
+        await asyncio.gather(
+            *(self._enqueue(shard, DRAIN, None) for shard in self._shards.values())
+        )
         reply: dict[str, Any] = {
             "type": "drained",
             "msg_id": msg_id,
@@ -1054,111 +1008,60 @@ class EmbeddingServer:
 
     async def _dispatch_loop(self, shard: _Shard) -> None:
         while True:
-            first = await shard.queue.get()
-            if self.config.tick > 0 and isinstance(first, _PendingSubmit):
+            command = await shard.queue.get()
+            if self.config.tick > 0 and command.kind == SUBMIT:
                 await asyncio.sleep(self.config.tick)
-            batch: list[_PendingSubmit] = []
-            releases: list[_PendingRelease] = []
-            drains: list[_PendingDrain] = []
-            faults: list[_PendingFault] = []
-            holds: list[_PendingHold] = []
-            promotes: list[_PendingPromote] = []
-            rebalances: list[_PendingRebalance] = []
-            item: (
-                _PendingSubmit
-                | _PendingRelease
-                | _PendingDrain
-                | _PendingFault
-                | _PendingHold
-                | _PendingPromote
-                | _PendingRebalance
-                | None
-            ) = first
-            while item is not None:
-                if isinstance(item, _PendingSubmit):
-                    batch.append(item)
-                elif isinstance(item, _PendingRelease):
-                    releases.append(item)
-                elif isinstance(item, _PendingFault):
-                    faults.append(item)
-                elif isinstance(item, _PendingHold):
-                    holds.append(item)
-                elif isinstance(item, _PendingPromote):
-                    promotes.append(item)
-                elif isinstance(item, _PendingRebalance):
-                    rebalances.append(item)
-                else:
-                    drains.append(item)
+            cycle = _Cycle(commands={kind: [] for kind, _ in _PHASES})
+            batch = cycle.commands[SUBMIT]
+            while True:
+                cycle.commands[command.kind].append(command)
                 if len(batch) >= self.config.batch_size:
                     break
                 try:
-                    item = shard.queue.get_nowait()
+                    command = shard.queue.get_nowait()
                 except asyncio.QueueEmpty:
-                    item = None
+                    break
+            for kind, phase in _PHASES:
+                await phase(self, shard, cycle.commands[kind], cycle)
 
-            # Replies whose engine effect is in this cycle's WAL batch; they
-            # resolve only after the fsync below, so an acknowledged commit
-            # or release is durable by construction (ack-after-fsync).
-            deferred: list[tuple[asyncio.Future[dict[str, Any]], dict[str, Any]]] = []
+    async def _phase_release(
+        self, shard: _Shard, commands: list[_Command], cycle: _Cycle
+    ) -> None:
+        for command in commands:
+            msg_id, request_id = command.payload
+            try:
+                shard.engine.release(request_id)
+            except ConfigurationError as exc:
+                reply = self._release_reply(msg_id, request_id, str(exc))
+            else:
+                shard.notify_routes.pop(request_id, None)
+                reply = self._release_reply(msg_id, request_id)
+            cycle.deferred.append((command, reply))
 
-            # Departures, then faults, then arrivals — the phase order of
-            # sim.trace.replay_with_faults, so a service run under a script
-            # is comparable to its offline replay.
-            for release in releases:
-                deferred.append((release.reply, self._do_release(shard, release)))
+    async def _phase_sync(
+        self, shard: _Shard, commands: list[_Command], cycle: _Cycle
+    ) -> None:
+        """The cycle's one WAL fsync, then every reply that waited for it."""
+        wal = shard.engine.wal
+        if wal is not None and wal.pending_count:
+            await asyncio.to_thread(wal.sync)
+        for command, reply in cycle.deferred:
+            command.resolve(reply)
 
-            for fault in faults:
-                await self._apply_fault(shard, fault.event)
+    async def _phase_drain(
+        self, shard: _Shard, commands: list[_Command], cycle: _Cycle
+    ) -> None:
+        for command in commands:
+            command.resolve(None)
 
-            if batch:
-                await self._decide_batch(shard, batch, deferred)
-
-            # Rebalance cycles run between micro-batches, before this
-            # cycle's fsync so applied migrations ride the same sync, and
-            # only when no fault work preempted them this cycle.
-            for rebalance in rebalances:
-                await self._do_rebalance(
-                    shard, rebalance, deferred, had_faults=bool(faults)
-                )
-
-            wal = shard.engine.wal
-            if wal is not None and wal.pending_count:
-                await asyncio.to_thread(wal.sync)
-            for future, reply in deferred:
-                if not future.done():
-                    future.set_result(reply)
-
-            for promote in promotes:
-                await self._do_promote(shard, promote)
-
-            for drain in drains:
-                drain.reply.set_result(None)
-
-            # Holds park this dispatcher last, with the batch fully applied,
-            # so the snapshot thread sees a settled engine.
-            for hold in holds:
-                if not hold.reached.done():
-                    hold.reached.set_result(None)
-                await hold.release.wait()
-
-    def _do_release(self, shard: _Shard, release: _PendingRelease) -> dict[str, Any]:
-        try:
-            shard.engine.release(release.request_id)
-        except ConfigurationError as exc:
-            return {
-                "type": "released",
-                "msg_id": release.msg_id,
-                "request_id": release.request_id,
-                "ok": False,
-                "reason": str(exc),
-            }
-        shard.notify_routes.pop(release.request_id, None)
-        return {
-            "type": "released",
-            "msg_id": release.msg_id,
-            "request_id": release.request_id,
-            "ok": True,
-        }
+    async def _phase_hold(
+        self, shard: _Shard, commands: list[_Command], cycle: _Cycle
+    ) -> None:
+        """Park the dispatcher last, with the batch fully applied, so the
+        snapshot thread sees a settled engine."""
+        for command in commands:
+            command.resolve(None)
+            await command.payload.wait()
 
     # -- promotion (dispatcher-only, like every other engine swap) -----------------------
 
@@ -1174,13 +1077,16 @@ class EmbeddingServer:
                 "msg_id": msg_id,
                 "reason": f"shard {shard.network_id!r} has no standby attached",
             }
-        pending = _PendingPromote(
-            msg_id=msg_id, reply=asyncio.get_running_loop().create_future()
-        )
-        shard.queue.put_nowait(pending)
-        return await pending.reply
+        stopped = {
+            "type": "error",
+            "msg_id": msg_id,
+            "reason": "server stopped before the promotion ran",
+        }
+        return await self._enqueue(shard, PROMOTE, msg_id, stopped)
 
-    async def _do_promote(self, shard: _Shard, pending: _PendingPromote) -> None:
+    async def _phase_promote(
+        self, shard: _Shard, commands: list[_Command], cycle: _Cycle
+    ) -> None:
         """Swap the shard's engine for its caught-up standby (fail-over drill).
 
         Runs inside the dispatcher between batches, so the swap can never
@@ -1188,34 +1094,34 @@ class EmbeddingServer:
         the standby folds in the last records and resumes the same log, and
         the shard serves its next batch from the promoted engine.
         """
-        if shard.standby_task is not None:
-            shard.standby_task.cancel()
+        for command in commands:
+            msg_id = command.payload
+            if shard.standby_task is not None:
+                shard.standby_task.cancel()
+                try:
+                    await shard.standby_task
+                except asyncio.CancelledError:
+                    pass
+                shard.standby_task = None
             try:
-                await shard.standby_task
-            except asyncio.CancelledError:
-                pass
-            shard.standby_task = None
-        try:
-            engine = await asyncio.to_thread(
-                self.router.promote, shard.network_id
+                engine = await asyncio.to_thread(
+                    self.router.promote, shard.network_id
+                )
+            except (ConfigurationError, WalError) as exc:
+                command.resolve({"type": "error", "msg_id": msg_id, "reason": str(exc)})
+                continue
+            shard.swap_engine(engine)
+            shard.standby = None
+            command.resolve(
+                {
+                    "type": "promoted",
+                    "msg_id": msg_id,
+                    "network_id": shard.network_id,
+                    "applied_seq": engine.wal_applied_seq,
+                    "ledger_fingerprint": engine.ledger_fingerprint(),
+                    "active": engine.active_count(),
+                }
             )
-        except (ConfigurationError, WalError) as exc:
-            pending.reply.set_result(
-                {"type": "error", "msg_id": pending.msg_id, "reason": str(exc)}
-            )
-            return
-        shard.swap_engine(engine)
-        shard.standby = None
-        pending.reply.set_result(
-            {
-                "type": "promoted",
-                "msg_id": pending.msg_id,
-                "network_id": shard.network_id,
-                "applied_seq": engine.wal_applied_seq,
-                "ledger_fingerprint": engine.ledger_fingerprint(),
-                "active": engine.active_count(),
-            }
-        )
 
     # -- rebalancing (dispatcher-only, like every other engine mutation) -----------------
 
@@ -1226,7 +1132,7 @@ class EmbeddingServer:
             if self._draining:
                 continue
             for shard in self._shards.values():
-                shard.queue.put_nowait(_PendingRebalance())
+                shard.queue.put_nowait(_Command(REBALANCE, 0))
 
     async def _handle_rebalance(self, message: dict[str, Any]) -> dict[str, Any]:
         msg_id = int(message.get("msg_id", 0) or 0)
@@ -1243,43 +1149,40 @@ class EmbeddingServer:
                 "cycle": None,
                 "rebalance": shard.rebalancer.stats(),
             }
-        pending = _PendingRebalance(
-            msg_id=msg_id, reply=asyncio.get_running_loop().create_future()
-        )
-        shard.queue.put_nowait(pending)
-        return await pending.reply
+        stopped = {
+            "type": "error",
+            "msg_id": msg_id,
+            "reason": "server stopped before the rebalance cycle ran",
+        }
+        return await self._enqueue(shard, REBALANCE, msg_id, stopped)
 
-    async def _do_rebalance(
-        self,
-        shard: _Shard,
-        pending: _PendingRebalance,
-        deferred: list[tuple["asyncio.Future[dict[str, Any]]", dict[str, Any]]],
-        *,
-        had_faults: bool,
+    async def _phase_rebalance(
+        self, shard: _Shard, commands: list[_Command], cycle: _Cycle
     ) -> None:
-        """Run one guarded cycle off-loop (still single-writer: awaited here).
+        """Run guarded cycles off-loop (still single-writer: awaited here).
 
-        ``had_faults`` marks a cycle that just folded fault events in —
-        repair work preempts defrag, so the cycle reports itself paused.
-        The reply (if a client asked) is deferred past the WAL sync below,
-        like any other effect acknowledged this cycle.
+        A cycle that just folded fault events in reports itself paused —
+        repair work preempts defrag. A reply (if a client asked) waits for
+        the WAL sync, like any other effect acknowledged this cycle.
         """
-        report = await asyncio.to_thread(
-            shard.rebalancer.run_cycle, repair_in_flight=had_faults
-        )
-        if pending.reply is not None:
-            deferred.append(
-                (
-                    pending.reply,
-                    {
-                        "type": "rebalanced",
-                        "msg_id": pending.msg_id,
-                        "network_id": shard.network_id,
-                        "cycle": report.to_dict(),
-                        "rebalance": shard.rebalancer.stats(),
-                    },
-                )
+        had_faults = bool(cycle.commands[FAULT])
+        for command in commands:
+            report = await asyncio.to_thread(
+                shard.rebalancer.run_cycle, repair_in_flight=had_faults
             )
+            if command.reply is not None:
+                cycle.deferred.append(
+                    (
+                        command,
+                        {
+                            "type": "rebalanced",
+                            "msg_id": command.payload,
+                            "network_id": shard.network_id,
+                            "cycle": report.to_dict(),
+                            "rebalance": shard.rebalancer.stats(),
+                        },
+                    )
+                )
 
     # -- fault path (dispatcher-only, like every other engine mutation) ------------------
 
@@ -1293,21 +1196,24 @@ class EmbeddingServer:
             if delay > 0:
                 await asyncio.sleep(delay)
             for event in by_step[step]:
-                shard.queue.put_nowait(_PendingFault(event=event))
+                shard.queue.put_nowait(_Command(FAULT, event))
         self._chaos_done.set()
 
-    async def _apply_fault(self, shard: _Shard, event: FaultEvent) -> None:
-        """Fold one fault event into a shard's engine and push the repairs.
+    async def _phase_fault(
+        self, shard: _Shard, commands: list[_Command], cycle: _Cycle
+    ) -> None:
+        """Fold fault events into a shard's engine and push the repairs.
 
         The repair ladder runs solver embeds, so the whole fold happens off
         the event loop. Still single-writer: this dispatcher awaits the
         thread before touching the engine again, and nothing else mutates it.
         """
-        outcomes = await asyncio.to_thread(
-            shard.engine.apply_fault, event, auto_seed=True
-        )
-        for outcome in outcomes:
-            await self._notify_repair(shard, outcome)
+        for command in commands:
+            outcomes = await asyncio.to_thread(
+                shard.engine.apply_fault, command.payload, auto_seed=True
+            )
+            for outcome in outcomes:
+                await self._notify_repair(shard, outcome)
 
     async def _notify_repair(self, shard: _Shard, outcome: RepairOutcome) -> None:
         """Push one repair outcome to the submitting peer (engine did the books)."""
@@ -1354,59 +1260,56 @@ class EmbeddingServer:
         reply["decision_index"] = decision.decision_index
         return reply
 
-    async def _decide_batch(
-        self,
-        shard: _Shard,
-        batch: list[_PendingSubmit],
-        deferred: list[tuple["asyncio.Future[dict[str, Any]]", dict[str, Any]]],
+    async def _phase_submit(
+        self, shard: _Shard, commands: list[_Command], cycle: _Cycle
     ) -> None:
-        by_arrival = {p.intent.arrival_index: p for p in batch}
-        ordered = self.policy.order([p.intent for p in batch])
-        if len(ordered) != len(batch) or {
+        """Decide the micro-batch in policy order, one solve then one commit each.
+
+        Strict dispatch solves every member on the view its predecessor's
+        commit left; speculative dispatch solves them all on the batch-start
+        view, and the commit's re-validation turns a lost race into
+        ``capacity_conflict``.
+        """
+        if not commands:
+            return
+        by_arrival = {command.payload[0].arrival_index: command for command in commands}
+        ordered = self.policy.order([command.payload[0] for command in commands])
+        if len(ordered) != len(commands) or {
             i.arrival_index for i in ordered
         } != set(by_arrival):
             raise ConfigurationError(
                 f"admission policy {self.policy.name!r} must permute the batch"
             )
-        if self.config.speculative and len(ordered) > 1:
-            view = shard.engine.view()
-            results = await asyncio.gather(
-                *(self._run_solver(shard, intent, view) for intent in ordered)
-            )
-        else:
-            results = None
-        for position, intent in enumerate(ordered):
-            pending = by_arrival[intent.arrival_index]
-            if results is not None:
-                result = results[position]
-            else:
-                result = await self._run_solver(shard, intent, shard.engine.view())
+        batch_view = (
+            shard.engine.view() if self.config.speculative and len(ordered) > 1 else None
+        )
+        for intent in ordered:
+            command = by_arrival[intent.arrival_index]
+            view = batch_view if batch_view is not None else shard.engine.view()
+            result = await asyncio.to_thread(solve_on_view, shard.engine, intent, view)
             decision = shard.engine.commit(intent, result)
-            if (
-                decision.accepted
-                and pending.writer is not None
-                and pending.lock is not None
-            ):
-                shard.notify_routes[intent.request_id] = (pending.writer, pending.lock)
+            if decision.accepted:
+                shard.notify_routes[intent.request_id] = command.payload[1]
             shard.queued_submits -= 1
             shard.pending_ids.discard(intent.request_id)
-            deferred.append((pending.reply, self._decision_reply(decision)))
+            cycle.deferred.append((command, self._decision_reply(decision)))
 
-    async def _run_solver(
-        self, shard: _Shard, intent: SubmitIntent, view: CloudNetwork
-    ) -> EmbeddingResult:
-        seed = shard.engine.solve_seed(intent)
-        call = functools.partial(
-            solve_on_view,
-            self.config.solver,
-            view,
-            intent.dag,
-            intent.source,
-            intent.dest,
-            intent.rate,
-            seed,
-            intent.constraints.specs() if intent.constraints else None,
-        )
-        if self._executor is not None:
-            return await asyncio.get_running_loop().run_in_executor(self._executor, call)
-        return await asyncio.to_thread(call)
+
+#: One dispatcher cycle: each command kind's handler, in phase order.
+#: Departures, then faults, then arrivals — the phase order of
+#: :func:`repro.sim.trace.replay_with_faults`, so a service run under a fault
+#: script is comparable to its offline replay. Rebalance cycles run between
+#: micro-batches, before the fsync so applied migrations ride the same sync.
+#: ``sync`` is the cycle's one WAL fsync plus the replies held for it (no
+#: command has that kind). Promotions, drain barriers and holds come after it;
+#: holds park the dispatcher, so they go last.
+_PHASES = (
+    (RELEASE, EmbeddingServer._phase_release),
+    (FAULT, EmbeddingServer._phase_fault),
+    (SUBMIT, EmbeddingServer._phase_submit),
+    (REBALANCE, EmbeddingServer._phase_rebalance),
+    ("sync", EmbeddingServer._phase_sync),
+    (PROMOTE, EmbeddingServer._phase_promote),
+    (DRAIN, EmbeddingServer._phase_drain),
+    (HOLD, EmbeddingServer._phase_hold),
+)

@@ -19,6 +19,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "9z"])
 
+    def test_serve_workers_only_accepts_zero(self, capsys):
+        args = build_parser().parse_args(["serve", "--workers", "0"])
+        assert args.workers == 0
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "process pool was removed" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list_solvers(self, capsys):

@@ -247,7 +247,7 @@ class TestGoldenEquivalence:
         network = engine_network()
         requests = make_requests(network, 30)
         released = [r.request_id for r in requests[::3]]
-        config = ServiceConfig(batch_size=1, queue_limit=64, workers=0)
+        config = ServiceConfig(batch_size=1, queue_limit=64)
 
         async def drive():
             async with EmbeddingServer(network, config) as server:

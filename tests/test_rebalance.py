@@ -409,7 +409,7 @@ class TestServiceRebalance:
         network = service_network()
 
         async def drive():
-            async with EmbeddingServer(network, ServiceConfig(workers=0)) as server:
+            async with EmbeddingServer(network, ServiceConfig()) as server:
                 host, port = server.address
                 client = await ServiceClient.connect(host, port)
                 await churny_fill(client, network, 20)
@@ -436,7 +436,7 @@ class TestServiceRebalance:
         network = service_network(seed=23)
 
         async def drive():
-            async with EmbeddingServer(network, ServiceConfig(workers=0)) as server:
+            async with EmbeddingServer(network, ServiceConfig()) as server:
                 host, port = server.address
                 client = await ServiceClient.connect(host, port)
                 await churny_fill(client, network, 16, seed=5)
@@ -465,7 +465,7 @@ class TestServiceRebalance:
     def test_background_pump_runs_cycles(self):
         network = service_network(seed=29)
         config = ServiceConfig(
-            workers=0, rebalance=True, rebalance_interval=0.03,
+            rebalance=True, rebalance_interval=0.03,
             rebalance_min_gain=0.001, rebalance_cooldown=1,
         )
 
@@ -497,7 +497,7 @@ class TestLoadgenChurn:
         )
 
         async def drive(churn):
-            async with EmbeddingServer(network, ServiceConfig(workers=0)) as server:
+            async with EmbeddingServer(network, ServiceConfig()) as server:
                 host, port = server.address
                 client = await ServiceClient.connect(host, port)
                 # release=False: only the churned share ever departs.
@@ -529,7 +529,7 @@ class TestResilientRebalance:
         network = service_network(seed=37)
 
         async def drive():
-            server = EmbeddingServer(network, ServiceConfig(workers=0))
+            server = EmbeddingServer(network, ServiceConfig())
             host, port = await server.start()
             await server.stop()
             policy = RetryPolicy(attempts=2, base_delay=0.01, max_delay=0.02)
@@ -548,7 +548,7 @@ class TestResilientRebalance:
         network = service_network(seed=41)
 
         async def drive():
-            async with EmbeddingServer(network, ServiceConfig(workers=0)) as server:
+            async with EmbeddingServer(network, ServiceConfig()) as server:
                 host, port = server.address
                 policy = RetryPolicy(attempts=3, base_delay=0.01, max_delay=0.05)
                 async with ResilientClient(host, port, policy=policy, rng=2) as rc:

@@ -129,6 +129,12 @@ class TestProtocol:
             protocol.submit_from_message({**good, "rate": 0.0})
         with pytest.raises(ProtocolError, match="malformed submit"):
             protocol.submit_from_message({**good, "dag": {"layers": "zap"}})
+        for rate in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ProtocolError, match="finite"):
+                protocol.submit_from_message({**good, "rate": rate})
+        for seed in ("x", float("inf")):
+            with pytest.raises(ProtocolError, match="malformed submit"):
+                protocol.submit_from_message({**good, "seed": seed})
 
 
 # -- admission --------------------------------------------------------------------
@@ -309,7 +315,7 @@ class TestServerEndToEnd:
         """50 concurrent submits == offline simulator in decision order."""
         network = service_network()
         workload = make_workload(network, 50)
-        config = ServiceConfig(batch_size=4, queue_limit=128, workers=0)
+        config = ServiceConfig(batch_size=4, queue_limit=128)
 
         async def drive():
             async with EmbeddingServer(network, config) as server:
@@ -351,7 +357,7 @@ class TestServerEndToEnd:
     def test_queue_overflow_yields_structured_rejections(self):
         network = service_network()
         workload = make_workload(network, 10)
-        config = ServiceConfig(queue_limit=2, batch_size=1, tick=0.2, workers=0)
+        config = ServiceConfig(queue_limit=2, batch_size=1, tick=0.2)
 
         async def drive():
             async with EmbeddingServer(network, config) as server:
@@ -382,7 +388,7 @@ class TestServerEndToEnd:
         # 3-batch must accept exactly one and reject the rest as conflicts.
         network = tight_network()
         config = ServiceConfig(
-            batch_size=3, tick=0.2, speculative=True, workers=0, queue_limit=8
+            batch_size=3, tick=0.2, speculative=True, queue_limit=8
         )
 
         async def drive():
@@ -403,7 +409,7 @@ class TestServerEndToEnd:
 
     def test_duplicate_and_draining_rejections(self):
         network = tight_network()
-        config = ServiceConfig(workers=0)
+        config = ServiceConfig()
 
         async def drive():
             async with EmbeddingServer(network, config) as server:
@@ -422,7 +428,7 @@ class TestServerEndToEnd:
 
     def test_admission_policy_rejections(self):
         network = tight_network()
-        config = ServiceConfig(workers=0, admission="rate-threshold")
+        config = ServiceConfig(admission="rate-threshold")
 
         async def drive():
             async with EmbeddingServer(
@@ -439,7 +445,7 @@ class TestServerEndToEnd:
 
     def test_release_roundtrip_over_the_wire(self):
         network = tight_network()
-        config = ServiceConfig(workers=0)
+        config = ServiceConfig()
 
         async def drive():
             async with EmbeddingServer(network, config) as server:
@@ -461,7 +467,7 @@ class TestServerEndToEnd:
 
     def test_malformed_submit_yields_error_reply(self):
         network = tight_network()
-        config = ServiceConfig(workers=0)
+        config = ServiceConfig()
 
         async def drive():
             async with EmbeddingServer(network, config) as server:
@@ -472,12 +478,93 @@ class TestServerEndToEnd:
 
         run(drive())
 
+    @pytest.mark.parametrize("seed", ["x", 1e400], ids=["text", "overflow"])
+    def test_malformed_seed_yields_error_reply(self, seed):
+        network = tight_network()
+
+        async def drive():
+            async with EmbeddingServer(network, ServiceConfig()) as server:
+                host, port = server.address
+                async with await ServiceClient.connect(host, port) as client:
+                    with pytest.raises(ProtocolError, match="malformed submit"):
+                        await asyncio.wait_for(
+                            client.submit(1, single_vnf_dag(), 0, 2, seed=seed), 5
+                        )
+                    # the connection survives and keeps serving
+                    return await client.submit(2, single_vnf_dag(), 0, 2, seed=1)
+
+        assert run(drive()).accepted
+
+    @pytest.mark.parametrize(
+        "message, msg_id, reason",
+        [
+            ({"type": "stats", "msg_id": "x"}, 0, "msg_id"),
+            ({"type": "stats", "msg_id": 1e400}, 0, "msg_id"),
+            ({"type": "release", "msg_id": 3, "request_id": 1e400}, 3, "malformed release"),
+        ],
+        ids=["msg_id-text", "msg_id-overflow", "release-overflow"],
+    )
+    def test_malformed_numbers_yield_error_reply(self, message, msg_id, reason):
+        network = tight_network()
+
+        async def drive():
+            async with EmbeddingServer(network, ServiceConfig()) as server:
+                reader, writer = await asyncio.open_connection(*server.address)
+                await reader.readline()  # hello
+                writer.write(protocol.encode_message(message))
+                await writer.drain()
+                line = await asyncio.wait_for(reader.readline(), 5)
+                writer.close()
+                await writer.wait_closed()
+            return protocol.decode_message(line)
+
+        reply = run(drive())
+        assert reply["type"] == "error" and reply["msg_id"] == msg_id
+        assert reason in reply["reason"]
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_rate_yields_error_reply(self, rate):
+        network = tight_network()
+
+        async def drive():
+            async with EmbeddingServer(network, ServiceConfig()) as server:
+                host, port = server.address
+                async with await ServiceClient.connect(host, port) as client:
+                    with pytest.raises(ProtocolError, match="finite"):
+                        await client.submit(1, single_vnf_dag(), 0, 2, rate=rate)
+                    return await client.stats()
+
+        stats = run(drive())
+        assert stats["counters"]["submitted"] == 0
+        assert stats["counters"]["dispatched"] == 0
+
+    @pytest.mark.parametrize("source, dest", [(0, 999), (-1, 2)], ids=["dest", "source"])
+    def test_out_of_substrate_endpoint_is_invalid_request(self, source, dest):
+        network = tight_network()
+
+        async def drive():
+            async with EmbeddingServer(network, ServiceConfig()) as server:
+                host, port = server.address
+                async with await ServiceClient.connect(host, port) as client:
+                    outcome = await client.submit(
+                        1, single_vnf_dag(), source, dest, seed=1
+                    )
+                    return outcome, await client.stats()
+
+        outcome, stats = run(drive())
+        assert not outcome.accepted
+        assert outcome.code == "invalid_request"
+        assert "invalid_request" in protocol.REJECT_CODES
+        assert outcome.decision_index is None
+        # rejected before any shard counter moved
+        assert all(value == 0 for value in stats["counters"].values())
+
     def test_snapshot_restart_resumes_identical_state(self, tmp_path):
         """Kill + restart from snapshot: same reservations, live releases."""
         network = service_network()
         workload = make_workload(network, 8)
         snap = str(tmp_path / "state.json")
-        config = ServiceConfig(workers=0, batch_size=4, snapshot_path=snap)
+        config = ServiceConfig(batch_size=4, snapshot_path=snap)
 
         async def first_life():
             async with EmbeddingServer(network, config) as server:
@@ -526,7 +613,7 @@ class TestServerEndToEnd:
 
     def test_drain_shutdown_stops_the_server(self):
         network = tight_network()
-        config = ServiceConfig(workers=0)
+        config = ServiceConfig()
 
         async def drive():
             server = EmbeddingServer(network, config)
@@ -546,8 +633,8 @@ class TestServerEndToEnd:
             ServiceConfig(batch_size=0)
         with pytest.raises(ConfigurationError):
             ServiceConfig(tick=-0.1)
-        with pytest.raises(ConfigurationError):
-            ServiceConfig(workers=-1)
+        with pytest.raises(TypeError):
+            ServiceConfig(workers=2)  # the process pool and its knob are gone
 
 
 # -- event-loop offload regressions -----------------------------------------------
@@ -581,7 +668,7 @@ class TestAsyncOffload:
 
         network = service_network()
         snap = str(tmp_path / "state.json")
-        config = ServiceConfig(workers=0, snapshot_path=snap)
+        config = ServiceConfig(snapshot_path=snap)
 
         async def drive() -> float:
             async with EmbeddingServer(network, config) as server:
@@ -613,7 +700,7 @@ class TestAsyncOffload:
         network = service_network()
         workload = make_workload(network, 12)
         snap = str(tmp_path / "state.json")
-        config = ServiceConfig(workers=0, batch_size=3, snapshot_path=snap)
+        config = ServiceConfig(batch_size=3, snapshot_path=snap)
 
         async def drive():
             async with EmbeddingServer(network, config) as server:
@@ -645,7 +732,7 @@ class TestAsyncOffload:
         from repro.faults.model import FaultAction, FaultEvent, FaultTarget
 
         network = service_network()
-        config = ServiceConfig(workers=0)
+        config = ServiceConfig()
         real_apply = EmbeddingEngine.apply_fault
 
         def slow_apply(engine, event, rng=None, *, auto_seed=False):

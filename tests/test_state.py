@@ -1,9 +1,12 @@
 """Tests for residual-capacity tracking (the real-time network graph)."""
 
+import tracemalloc
+
 import pytest
 
 from repro.exceptions import CapacityError, ConfigurationError
 from repro.network.cloud import CloudNetwork
+from repro.network.reservations import Reservation, ReservationLedger
 from repro.network.state import ResidualState
 
 from .conftest import build_line_graph
@@ -86,6 +89,36 @@ class TestTransactions:
         st.rollback(m0)
         assert st.link_used(0, 1) == 0.0
 
+    def test_rollback_after_failed_nested_attempt_keeps_outer_open(self, small_cloud):
+        st = ResidualState(small_cloud)
+        m0 = st.mark()
+        st.reserve_link(0, 1, 0.5)
+        m1 = st.mark()
+        st.reserve_link(1, 2, 0.5)
+        st.rollback(m1)
+        st.reserve_link(2, 3, 0.5)  # still inside the outer transaction
+        st.rollback(m0)
+        assert st.link_used(0, 1) == st.link_used(2, 3) == 0.0
+
+    def test_commit_keeps_reservations_and_drops_the_journal(self, small_cloud):
+        st = ResidualState(small_cloud)
+        m0 = st.mark()
+        st.reserve_link(0, 1, 0.5)
+        m1 = st.mark()
+        st.reserve_link(1, 2, 0.5)
+        st.commit(m1)
+        assert st._journal  # the outer transaction still needs it
+        st.commit(m0)
+        assert st._journal == []
+        assert st.link_used(0, 1) == st.link_used(1, 2) == pytest.approx(0.5)
+
+    def test_no_journal_outside_a_transaction(self, small_cloud):
+        st = ResidualState(small_cloud)
+        st.reserve_link(0, 1, 1.0)
+        st.release_link(0, 1, 1.0)
+        st.reserve_vnf(1, 1, 1.0)
+        assert st._journal == []
+
     def test_invalid_mark(self, small_cloud):
         st = ResidualState(small_cloud)
         with pytest.raises(ValueError):
@@ -120,3 +153,41 @@ class TestFilters:
         st.reserve_vnf(1, 1, 1.0)
         assert dict(st.used_links()) == {(0, 1): 1.0}
         assert dict(st.used_vnfs()) == {(1, 1): 1.0}
+
+
+class TestJournalSoak:
+    """A long-lived ledger's journal stays empty and its memory flat."""
+
+    def test_churn_leaves_no_journal_and_flat_memory(self, small_cloud):
+        ledger = ReservationLedger(ResidualState(small_cloud))
+        reservation = Reservation(
+            vnf={(1, 1): 1.0, (2, 2): 1.0},
+            links={(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0},
+            cost=1.0,
+        )
+        too_big = Reservation(vnf={(1, 1): 1.0, (2, 2): 2.0}, links={}, cost=1.0)
+
+        def churn(cycles: int, first_id: int) -> None:
+            for request_id in range(first_id, first_id + cycles):
+                ledger.reserve(request_id, reservation)
+                try:
+                    ledger.reserve(request_id + 10**6, too_big)
+                except CapacityError:
+                    pass  # rolled back
+                else:
+                    raise AssertionError("over-capacity reserve went through")
+                ledger.release(request_id)
+
+        tracemalloc.start()
+        try:
+            churn(500, 0)  # one-time allocations land before the baseline
+            before, _ = tracemalloc.get_traced_memory()
+            churn(5000, 1000)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ledger.state._journal == []
+        assert len(ledger) == 0
+        assert dict(ledger.state.used_links()) == {}
+        # 5000 cycles x 10 journal entries would retain several hundred KiB.
+        assert after - before < 16 * 1024

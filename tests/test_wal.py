@@ -495,7 +495,7 @@ class TestServiceDurability:
         network = engine_network()
         workload = make_workload(network, 20)
         wal_dir = str(tmp_path / "wal")
-        config = ServiceConfig(batch_size=4, workers=0, wal_dir=wal_dir)
+        config = ServiceConfig(batch_size=4, wal_dir=wal_dir)
 
         async def drive():
             async with EmbeddingServer(network, config) as server:
@@ -535,7 +535,7 @@ class TestServiceDurability:
         workload = make_workload(network, 24)
         wal_dir = str(tmp_path / "wal")
         config = ServiceConfig(
-            batch_size=4, workers=0, wal_dir=wal_dir, standby=True, standby_poll=0.01
+            batch_size=4, wal_dir=wal_dir, standby=True, standby_poll=0.01
         )
 
         async def drive():
@@ -583,7 +583,7 @@ class TestServiceDurability:
 
     def test_promote_without_standby_is_a_structured_error(self, tmp_path):
         network = tight_network()
-        config = ServiceConfig(workers=0, wal_dir=str(tmp_path / "wal"))
+        config = ServiceConfig(wal_dir=str(tmp_path / "wal"))
 
         async def drive():
             async with EmbeddingServer(network, config) as server:
@@ -602,18 +602,7 @@ class TestServiceDurability:
 
 
 class TestDeprecationShims:
-    """Satellite: the old service-layer module paths warn but keep working."""
-
-    @pytest.mark.parametrize(
-        "name", ["repro.service.state_store", "repro.service.worker"]
-    )
-    def test_old_import_paths_warn(self, name):
-        sys.modules.pop(name, None)
-        with pytest.warns(DeprecationWarning, match="repro.engine"):
-            module = importlib.import_module(name)
-        canonical = importlib.import_module(name.replace(".service.", ".engine."))
-        for attr in module.__all__:
-            assert getattr(module, attr) is getattr(canonical, attr)
+    """The engine-layer snapshot module imports without deprecation noise."""
 
     def test_new_import_path_is_quiet(self):
         sys.modules.pop("repro.engine.state_store", None)
